@@ -45,7 +45,10 @@ impl Default for PlanOptions {
 ///
 /// # Panics
 ///
-/// Panics if the mapping's assignment length does not match the partitioning.
+/// Panics if the mapping's assignment length does not match the
+/// partitioning, or if the PDG has no topological order
+/// ([`Pdg::topological_order`] fails). The flow's partition stage rejects
+/// such PDGs with a structured error before they reach code generation.
 pub fn build_execution_plan(
     est: &Estimator<'_>,
     partitioning: &Partitioning,
@@ -62,6 +65,10 @@ pub fn build_execution_plan(
 /// transfer counts are recorded as `codegen.kernels` / `codegen.transfers`
 /// counters. The collector is write-only, so the plan is identical with and
 /// without it.
+///
+/// # Panics
+///
+/// Same as [`build_execution_plan`].
 #[allow(clippy::too_many_arguments)]
 pub fn build_execution_plan_traced(
     est: &Estimator<'_>,
@@ -95,7 +102,9 @@ fn build_execution_plan_inner(
         partitioning.len(),
         "mapping does not match partitioning"
     );
-    let order = pdg.topological_order();
+    let order = pdg
+        .topological_order()
+        .unwrap_or_else(|e| panic!("execution plan needs a kernel order: {e}"));
     // Position of each partition in the plan's kernel list.
     let mut position = vec![0usize; partitioning.len()];
     for (pos, &p) in order.iter().enumerate() {
@@ -229,7 +238,7 @@ mod tests {
         let partitioning = PartitionRequest::new(&est).run().unwrap();
         let pdg = build_pdg(&graph, &reps, &partitioning);
         let good = map_greedy(&pdg, &platform);
-        let naive = map_round_robin(&pdg, &platform);
+        let naive = map_round_robin(&pdg, &platform).unwrap();
         let opts = PlanOptions::default();
         let (gp, _) = build_execution_plan(&est, &partitioning, &pdg, &good, &platform, &opts);
         let (np, _) = build_execution_plan(&est, &partitioning, &pdg, &naive, &platform, &opts);

@@ -9,7 +9,9 @@ use sgmap_gpusim::{
 };
 use sgmap_graph::{GraphError, StreamGraph};
 use sgmap_ilp::IlpError;
-use sgmap_mapping::{map_with_traced, repair_mapping, Mapping, RepairOptions, RepairStats};
+use sgmap_mapping::{
+    map_with_traced, repair_mapping, Mapping, MappingError, RepairOptions, RepairStats,
+};
 use sgmap_partition::{build_pdg, PartitionError, PartitionRequest, Partitioning, Pdg};
 use sgmap_pee::Estimator;
 
@@ -26,8 +28,8 @@ pub enum FlowError {
     Graph(GraphError),
     /// Partitioning failed.
     Partition(PartitionError),
-    /// The ILP mapper failed.
-    Mapping(IlpError),
+    /// The mapper failed.
+    Mapping(MappingError),
 }
 
 impl fmt::Display for FlowError {
@@ -53,9 +55,14 @@ impl From<PartitionError> for FlowError {
         FlowError::Partition(e)
     }
 }
+impl From<MappingError> for FlowError {
+    fn from(e: MappingError) -> Self {
+        FlowError::Mapping(e)
+    }
+}
 impl From<IlpError> for FlowError {
     fn from(e: IlpError) -> Self {
-        FlowError::Mapping(e)
+        FlowError::Mapping(MappingError::Ilp(e))
     }
 }
 
@@ -222,7 +229,8 @@ pub struct PartitionStage {
 /// # Errors
 ///
 /// Returns an error if the configuration is degenerate, disagrees with the
-/// estimator, or if graph analysis or partitioning fails.
+/// estimator, or if graph analysis or partitioning fails, including a
+/// partitioning whose PDG has a cycle ([`PartitionError::CyclicPdg`]).
 pub fn partition_graph(
     graph: &StreamGraph,
     config: &FlowConfig,
@@ -250,6 +258,9 @@ pub fn partition_graph(
         let _span = sgmap_trace::span(trace, "pdg.build");
         build_pdg(graph, &reps, &partitioning)
     };
+    // Code generation launches kernels in PDG order, so a PDG without one
+    // fails the stage here, before any mapper runs.
+    pdg.topological_order()?;
     Ok(PartitionStage { partitioning, pdg })
 }
 
@@ -383,6 +394,23 @@ pub fn execute_with_faults(
 mod tests {
     use super::*;
     use sgmap_apps::App;
+
+    #[test]
+    fn a_cyclic_pdg_is_a_structured_partition_error() {
+        // The multilevel parts of this SynthLoop program split its feedback
+        // loops, and the feedback channels close a cycle in the PDG.
+        let graph = App::SynthLoop.build(100).unwrap();
+        let config =
+            FlowConfig::new().with_algorithm(crate::Algorithm::Multilevel(Default::default()));
+        let err = compile(&graph, &config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlowError::Partition(PartitionError::CyclicPdg { partitions, .. }) if partitions > 0
+            ),
+            "{err}"
+        );
+    }
 
     #[test]
     fn full_flow_runs_for_a_small_app_on_every_gpu_count() {

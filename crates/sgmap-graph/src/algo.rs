@@ -1,5 +1,6 @@
-//! Graph algorithms shared by the rest of the crate: topological ordering,
-//! reachability and connectivity over forward (non-feedback) channels.
+//! Graph algorithms over forward (non-feedback) channels: the topological
+//! order, plus the whole-graph reachability and connectivity passes kept as
+//! a test oracle.
 
 use crate::error::GraphError;
 use crate::filter::FilterId;
@@ -44,95 +45,156 @@ pub(crate) fn topological_order(graph: &StreamGraph) -> Result<Vec<FilterId>> {
     }
 }
 
-/// Returns the set of nodes reachable from `start` over forward channels,
-/// restricted to nodes for which `allowed` returns `true` (the start node is
-/// always included).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn reachable_within(
-    graph: &StreamGraph,
-    start: FilterId,
-    allowed: impl Fn(FilterId) -> bool,
-) -> Vec<bool> {
-    let n = graph.filter_count();
-    let mut seen = vec![false; n];
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(u) = stack.pop() {
-        for &c in graph.out_channels(u) {
-            let ch = graph.channel(c);
-            if ch.feedback {
+/// Whole-graph connectivity and convexity predicates: each allocates
+/// graph-sized vectors and walks the whole graph. They are the test oracle
+/// for the local [`NodeSet::is_connected_convex`](crate::NodeSet::is_connected_convex).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::NodeSet;
+
+    fn membership(set: &NodeSet, graph: &StreamGraph) -> Vec<bool> {
+        let mut m = vec![false; graph.filter_count()];
+        for id in set.iter() {
+            m[id.index()] = true;
+        }
+        m
+    }
+
+    /// Returns `true` if the members form a weakly connected sub-graph of
+    /// `graph`.
+    pub(crate) fn is_connected(set: &NodeSet, graph: &StreamGraph) -> bool {
+        !set.is_empty() && is_weakly_connected(graph, &membership(set, graph))
+    }
+
+    /// Returns `true` if no directed forward path between two members passes
+    /// through a non-member.
+    pub(crate) fn is_convex(set: &NodeSet, graph: &StreamGraph) -> bool {
+        if set.len() <= 1 {
+            return true;
+        }
+        let members = membership(set, graph);
+        // A non-member x violates convexity iff it is reachable from a
+        // member and can itself reach a member.
+        let mut reachable_from_set = members.clone();
+        let mut stack: Vec<FilterId> = set.iter().collect();
+        while let Some(u) = stack.pop() {
+            for &c in graph.out_channels(u) {
+                let ch = graph.channel(c);
+                if ch.feedback {
+                    continue;
+                }
+                if !reachable_from_set[ch.dst.index()] {
+                    reachable_from_set[ch.dst.index()] = true;
+                    stack.push(ch.dst);
+                }
+            }
+        }
+        let reaches_set = can_reach_targets(graph, &members);
+        for i in 0..graph.filter_count() {
+            if !members[i] && reachable_from_set[i] && reaches_set[i] {
+                let downstream_member_exists = graph
+                    .successors(FilterId::from_index(i))
+                    .iter()
+                    .any(|&s| reaches_set[s.index()] || members[s.index()]);
+                if downstream_member_exists {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Returns the set of nodes reachable from `start` over forward channels,
+    /// restricted to nodes for which `allowed` returns `true` (the start node is
+    /// always included).
+    pub(crate) fn reachable_within(
+        graph: &StreamGraph,
+        start: FilterId,
+        allowed: impl Fn(FilterId) -> bool,
+    ) -> Vec<bool> {
+        let n = graph.filter_count();
+        let mut seen = vec![false; n];
+        let mut stack = vec![start];
+        seen[start.index()] = true;
+        while let Some(u) = stack.pop() {
+            for &c in graph.out_channels(u) {
+                let ch = graph.channel(c);
+                if ch.feedback {
+                    continue;
+                }
+                let v = ch.dst;
+                if !seen[v.index()] && allowed(v) {
+                    seen[v.index()] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Returns `true` if the nodes marked in `members` form a weakly connected
+    /// sub-graph (treating channels as undirected, ignoring feedback channels).
+    pub(crate) fn is_weakly_connected(graph: &StreamGraph, members: &[bool]) -> bool {
+        let count = members.iter().filter(|&&m| m).count();
+        if count == 0 {
+            return false;
+        }
+        let start = members.iter().position(|&m| m).expect("non-empty");
+        let mut seen = vec![false; graph.filter_count()];
+        let mut stack = vec![FilterId::from_index(start)];
+        seen[start] = true;
+        let mut visited = 0usize;
+        while let Some(u) = stack.pop() {
+            visited += 1;
+            let mut push_neighbor = |v: FilterId| {
+                if members[v.index()] && !seen[v.index()] {
+                    seen[v.index()] = true;
+                    stack.push(v);
+                }
+            };
+            for &c in graph.out_channels(u) {
+                let ch = graph.channel(c);
+                if !ch.feedback {
+                    push_neighbor(ch.dst);
+                }
+            }
+            for &c in graph.in_channels(u) {
+                let ch = graph.channel(c);
+                if !ch.feedback {
+                    push_neighbor(ch.src);
+                }
+            }
+        }
+        visited == count
+    }
+
+    /// Computes, for every node, whether it can reach any node of `targets`
+    /// (marked as `true`) over forward channels. Used by the convexity test.
+    pub(crate) fn can_reach_targets(graph: &StreamGraph, targets: &[bool]) -> Vec<bool> {
+        // Process nodes in reverse topological order so that a single pass
+        // suffices; the graph is guaranteed acyclic over forward channels.
+        let order = topological_order(graph).unwrap_or_else(|_| graph.filter_ids().collect());
+        let mut reach = targets.to_vec();
+        for &u in order.iter().rev() {
+            if reach[u.index()] {
                 continue;
             }
-            let v = ch.dst;
-            if !seen[v.index()] && allowed(v) {
-                seen[v.index()] = true;
-                stack.push(v);
+            for &c in graph.out_channels(u) {
+                let ch = graph.channel(c);
+                if !ch.feedback && reach[ch.dst.index()] {
+                    reach[u.index()] = true;
+                    break;
+                }
             }
         }
+        reach
     }
-    seen
-}
-
-/// Returns `true` if the nodes marked in `members` form a weakly connected
-/// sub-graph (treating channels as undirected, ignoring feedback channels).
-pub(crate) fn is_weakly_connected(graph: &StreamGraph, members: &[bool]) -> bool {
-    let count = members.iter().filter(|&&m| m).count();
-    if count == 0 {
-        return false;
-    }
-    let start = members.iter().position(|&m| m).expect("non-empty");
-    let mut seen = vec![false; graph.filter_count()];
-    let mut stack = vec![FilterId::from_index(start)];
-    seen[start] = true;
-    let mut visited = 0usize;
-    while let Some(u) = stack.pop() {
-        visited += 1;
-        let mut push_neighbor = |v: FilterId| {
-            if members[v.index()] && !seen[v.index()] {
-                seen[v.index()] = true;
-                stack.push(v);
-            }
-        };
-        for &c in graph.out_channels(u) {
-            let ch = graph.channel(c);
-            if !ch.feedback {
-                push_neighbor(ch.dst);
-            }
-        }
-        for &c in graph.in_channels(u) {
-            let ch = graph.channel(c);
-            if !ch.feedback {
-                push_neighbor(ch.src);
-            }
-        }
-    }
-    visited == count
-}
-
-/// Computes, for every node, whether it can reach any node of `targets`
-/// (marked as `true`) over forward channels. Used by the convexity test.
-pub(crate) fn can_reach_targets(graph: &StreamGraph, targets: &[bool]) -> Vec<bool> {
-    // Process nodes in reverse topological order so that a single pass
-    // suffices; the graph is guaranteed acyclic over forward channels.
-    let order = topological_order(graph).unwrap_or_else(|_| graph.filter_ids().collect());
-    let mut reach = targets.to_vec();
-    for &u in order.iter().rev() {
-        if reach[u.index()] {
-            continue;
-        }
-        for &c in graph.out_channels(u) {
-            let ch = graph.channel(c);
-            if !ch.feedback && reach[ch.dst.index()] {
-                reach[u.index()] = true;
-                break;
-            }
-        }
-    }
-    reach
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
     use crate::filter::Filter;
 

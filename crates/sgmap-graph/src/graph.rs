@@ -269,6 +269,16 @@ impl StreamGraph {
         out
     }
 
+    /// Neighbours of `id` over forward channels, successors then
+    /// predecessors, one per channel: unlike [`neighbors`](Self::neighbors)
+    /// this neither deduplicates nor allocates.
+    pub fn forward_neighbors(&self, id: FilterId) -> impl Iterator<Item = FilterId> + '_ {
+        let forward = |c: &ChannelId| Some(&self.channels[c.index()]).filter(|ch| !ch.feedback);
+        let downstream = self.out_edges[id.index()].iter().filter_map(forward);
+        let upstream = self.in_edges[id.index()].iter().filter_map(forward);
+        downstream.map(|ch| ch.dst).chain(upstream.map(|ch| ch.src))
+    }
+
     /// Filters with no incoming forward channel (primary inputs).
     pub fn sources(&self) -> Vec<FilterId> {
         self.filter_ids()
@@ -450,6 +460,23 @@ mod tests {
         bad.add_channel(a, b, 1, 1).unwrap();
         bad.add_channel(b, a, 1, 1).unwrap();
         assert_eq!(bad.topological_order(), Err(GraphError::CyclicGraph));
+    }
+
+    #[test]
+    fn forward_neighbors_skip_feedback_channels() {
+        let mut g = StreamGraph::new("loop");
+        let a = g.add_filter(Filter::new("a", 1, 1, 1.0));
+        let b = g.add_filter(Filter::new("b", 1, 1, 1.0));
+        let c = g.add_filter(Filter::new("c", 1, 1, 1.0));
+        g.add_channel(a, b, 1, 1).unwrap();
+        g.add_channel(a, b, 1, 1).unwrap();
+        g.add_channel(b, c, 1, 1).unwrap();
+        g.add_feedback_channel(c, a, 1, 1, 1).unwrap();
+        // One entry per forward channel: successors first, then
+        // predecessors; the feedback channel c -> a shows up nowhere.
+        assert_eq!(g.forward_neighbors(a).collect::<Vec<_>>(), vec![b, b]);
+        assert_eq!(g.forward_neighbors(b).collect::<Vec<_>>(), vec![c, a, a]);
+        assert_eq!(g.forward_neighbors(c).collect::<Vec<_>>(), vec![b]);
     }
 
     #[test]

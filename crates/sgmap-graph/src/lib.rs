@@ -11,8 +11,8 @@
 //!   [`StreamGraph`],
 //! * [`RepetitionVector`] — the SDF steady-state firing rates solved from the
 //!   balance equations,
-//! * [`NodeSet`] — a sub-graph (candidate partition) with connectivity and
-//!   convexity queries,
+//! * [`NodeSet`] — a sub-graph (candidate partition) with a local
+//!   connectivity-and-convexity check over [`TopoRanks`],
 //! * [`interp`] — a functional interpreter used to check that generated
 //!   benchmark graphs compute what they claim to compute.
 //!
@@ -53,6 +53,7 @@ mod filter;
 mod graph;
 pub mod interp;
 mod nodeset;
+mod ranks;
 mod rates;
 
 pub use builder::{GraphBuilder, StreamSpec};
@@ -60,6 +61,7 @@ pub use error::GraphError;
 pub use filter::{Filter, FilterId, FilterKind, JoinKind, SplitKind};
 pub use graph::{Channel, ChannelId, StreamGraph};
 pub use nodeset::NodeSet;
+pub use ranks::TopoRanks;
 pub use rates::{Rational, RepetitionVector};
 
 /// Result alias used throughout this crate.

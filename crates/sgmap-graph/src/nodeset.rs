@@ -4,18 +4,19 @@
 //! A [`NodeSet`] is an arbitrary subset of the filters of a [`StreamGraph`].
 //! The partitioning heuristic only ever keeps node sets that are *connected*
 //! and *convex* (no path between two members passes through a non-member),
-//! so both predicates are provided here, together with the boundary/interior
-//! channel queries needed to compute workloads, IO volumes and inter-partition
+//! so that predicate is provided here, as a local search over the set and
+//! its topological-rank window, together with the boundary/interior channel
+//! queries needed to compute workloads, IO volumes and inter-partition
 //! traffic.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::algo;
 use crate::error::GraphError;
 use crate::filter::{FilterId, FilterKind};
 use crate::graph::{ChannelId, StreamGraph};
+use crate::ranks::TopoRanks;
 use crate::rates::RepetitionVector;
 use crate::Result;
 
@@ -174,60 +175,87 @@ impl NodeSet {
         false
     }
 
-    fn membership(&self, graph: &StreamGraph) -> Vec<bool> {
-        let mut m = vec![false; graph.filter_count()];
-        for id in self.iter() {
-            m[id.index()] = true;
-        }
-        m
+    /// Returns `true` if the set is non-empty, weakly connected and convex
+    /// in `graph`: the structural guard of every merge and move the
+    /// partition search makes. `ranks` must be the graph's [`TopoRanks`].
+    ///
+    /// Both halves stay local. Connectivity is a search over the members
+    /// alone, following forward channels in both directions; feedback
+    /// channels are ignored, so a set held together only by a feedback
+    /// channel is rejected. Convexity (no forward path between two members
+    /// passes through a non-member) is a forward search from the members'
+    /// non-member successors through non-members ranked below the highest
+    /// member; reaching a member proves a violation. That is exact: the
+    /// non-members of any member → non-member → member path all rank
+    /// strictly inside the set's rank window. Scratch space is sized by the
+    /// set and its rank window, never by the graph.
+    pub fn is_connected_convex(&self, graph: &StreamGraph, ranks: &TopoRanks) -> bool {
+        debug_assert_eq!(ranks.len(), graph.filter_count(), "ranks of another graph");
+        !self.is_empty() && self.is_connected_within(graph) && self.is_convex_within(graph, ranks)
     }
 
-    /// Returns `true` if the members form a weakly connected sub-graph of
-    /// `graph`.
-    pub fn is_connected(&self, graph: &StreamGraph) -> bool {
-        if self.is_empty() {
-            return false;
-        }
-        algo::is_weakly_connected(graph, &self.membership(graph))
-    }
-
-    /// Returns `true` if the set is convex in `graph`: no directed path
-    /// between two members passes through a non-member.
-    pub fn is_convex(&self, graph: &StreamGraph) -> bool {
-        if self.members.len() <= 1 {
-            return true;
-        }
-        let members = self.membership(graph);
-        // A non-member x violates convexity iff it is reachable from a member
-        // and can itself reach a member. One multi-source BFS from all
-        // members gives the first predicate in O(V + E).
-        let mut reachable_from_set = members.clone();
-        let mut stack: Vec<FilterId> = self.iter().collect();
-        while let Some(u) = stack.pop() {
-            for &c in graph.out_channels(u) {
-                let ch = graph.channel(c);
-                if ch.feedback {
-                    continue;
-                }
-                if !reachable_from_set[ch.dst.index()] {
-                    reachable_from_set[ch.dst.index()] = true;
-                    stack.push(ch.dst);
+    fn is_connected_within(&self, graph: &StreamGraph) -> bool {
+        let members = self.as_slice();
+        let mut seen = vec![false; members.len()];
+        let mut stack = vec![0usize];
+        seen[0] = true;
+        let mut visited = 0usize;
+        while let Some(i) = stack.pop() {
+            visited += 1;
+            for v in graph.forward_neighbors(members[i]) {
+                if let Ok(j) = members.binary_search(&v) {
+                    if !seen[j] {
+                        seen[j] = true;
+                        stack.push(j);
+                    }
                 }
             }
         }
-        let reaches_set = algo::can_reach_targets(graph, &members);
-        for i in 0..graph.filter_count() {
-            if !members[i] && reachable_from_set[i] && reaches_set[i] {
-                // `reaches_set` includes the node itself when it is a member,
-                // but i is a non-member here, so this marks a true violation
-                // only if it can reach some member *through* forward edges.
-                let downstream_member_exists = graph
-                    .successors(FilterId::from_index(i))
-                    .iter()
-                    .any(|&s| reaches_set[s.index()] || members[s.index()]);
-                if downstream_member_exists {
+        visited == members.len()
+    }
+
+    fn is_convex_within(&self, graph: &StreamGraph, ranks: &TopoRanks) -> bool {
+        let members = self.as_slice();
+        if members.len() <= 1 {
+            return true;
+        }
+        let (lo, hi) = members.iter().fold((usize::MAX, 0), |(lo, hi), &id| {
+            let r = ranks.rank(id);
+            (lo.min(r), hi.max(r))
+        });
+        let successors = |u: FilterId| {
+            graph
+                .out_channels(u)
+                .iter()
+                .map(|&c| graph.channel(c))
+                .filter(|ch| !ch.feedback)
+                .map(|ch| ch.dst)
+        };
+        // Every non-member worth expanding ranks strictly between `lo` and
+        // `hi` (above a member, below the highest one), so `rank - lo`
+        // indexes the window.
+        let mut seen = vec![false; hi - lo];
+        let mut stack: Vec<FilterId> = Vec::new();
+        let mut enter = |v: FilterId, stack: &mut Vec<FilterId>| {
+            let r = ranks.rank(v);
+            if r < hi && !seen[r - lo] {
+                seen[r - lo] = true;
+                stack.push(v);
+            }
+        };
+        for &m in members {
+            for v in successors(m) {
+                if !self.contains(v) {
+                    enter(v, &mut stack);
+                }
+            }
+        }
+        while let Some(x) = stack.pop() {
+            for v in successors(x) {
+                if self.contains(v) {
                     return false;
                 }
+                enter(v, &mut stack);
             }
         }
         true
@@ -359,6 +387,7 @@ impl Extend<FilterId> for NodeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::oracle;
     use crate::filter::Filter;
 
     /// a -> b -> c -> d plus a -> e -> d (a diamond with a long arm).
@@ -401,31 +430,228 @@ mod tests {
     #[test]
     fn connectivity_and_convexity() {
         let (g, ids) = fixture();
+        let ranks = TopoRanks::new(&g).unwrap();
         let (a, b, c, d, e) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
+        let check = |set: &NodeSet, connected: bool, convex: bool| {
+            assert_eq!(oracle::is_connected(set, &g), connected, "{set:?}");
+            assert_eq!(oracle::is_convex(set, &g), convex, "{set:?}");
+            assert_eq!(set.is_connected_within(&g), connected, "{set:?}");
+            assert_eq!(set.is_convex_within(&g, &ranks), convex, "{set:?}");
+            assert_eq!(
+                set.is_connected_convex(&g, &ranks),
+                connected && convex,
+                "{set:?}"
+            );
+        };
         // {b, c} is connected and convex.
-        let bc = NodeSet::from_ids([b, c]);
-        assert!(bc.is_connected(&g));
-        assert!(bc.is_convex(&g));
-        // {b, d} is not connected directly... b->c->d exists, but c is missing:
-        // not connected as an undirected induced subgraph, and not convex.
-        let bd = NodeSet::from_ids([b, d]);
-        assert!(!bd.is_connected(&g));
-        assert!(!bd.is_convex(&g));
+        check(&NodeSet::from_ids([b, c]), true, true);
+        // {b, d}: b->c->d exists, but c is missing: not connected as an
+        // undirected induced subgraph, and not convex.
+        check(&NodeSet::from_ids([b, d]), false, false);
         // {a, d} plus the arm e: convex only if both arms are included.
-        let ad = NodeSet::from_ids([a, d]);
-        assert!(!ad.is_convex(&g));
-        let abcde = NodeSet::from_ids([a, b, c, d, e]);
-        assert!(abcde.is_convex(&g));
-        assert!(abcde.is_connected(&g));
+        check(&NodeSet::from_ids([a, d]), false, false);
+        check(&NodeSet::from_ids([a, b, c, d, e]), true, true);
         // {a, b, e}: the path a->b does not leave the set, and no path between
         // members goes through an outsider (c is only on a path from b to d,
         // and d is not a member), so this is convex.
-        let abe = NodeSet::from_ids([a, b, e]);
-        assert!(abe.is_convex(&g));
+        check(&NodeSet::from_ids([a, b, e]), true, true);
         // {b, e, d}: a path e->d stays inside, but b reaches d only through c
         // which is outside: not convex.
-        let bed = NodeSet::from_ids([b, e, d]);
-        assert!(!bed.is_convex(&g));
+        check(&NodeSet::from_ids([b, e, d]), false, false);
+        // The empty set is rejected; a singleton is always fine.
+        assert!(!NodeSet::new().is_connected_convex(&g, &ranks));
+        check(&NodeSet::singleton(c), true, true);
+    }
+
+    #[test]
+    fn feedback_only_adjacency_is_rejected() {
+        // a -> b -> c with the back edge c -> a: {a, c} touch only through
+        // the feedback channel, so the union is not connected.
+        let mut g = StreamGraph::new("loop");
+        let a = g.add_filter(Filter::new("a", 1, 1, 1.0));
+        let b = g.add_filter(Filter::new("b", 1, 1, 1.0));
+        let c = g.add_filter(Filter::new("c", 1, 1, 1.0));
+        g.add_channel(a, b, 1, 1).unwrap();
+        g.add_channel(b, c, 1, 1).unwrap();
+        g.add_feedback_channel(c, a, 1, 1, 1).unwrap();
+        let ranks = TopoRanks::new(&g).unwrap();
+        let ac = NodeSet::from_ids([a, c]);
+        assert!(!oracle::is_connected(&ac, &g));
+        assert!(!ac.is_connected_convex(&g, &ranks));
+        assert!(NodeSet::from_ids([a, b, c]).is_connected_convex(&g, &ranks));
+    }
+
+    #[test]
+    fn bypass_through_the_rank_window_is_not_convex() {
+        // m1 -> x -> m2 and m1 -> m2, with a second branch y off the path:
+        // {m1, m2} is connected through its own channel, but x sits inside
+        // the set's rank window on a path that leaves and re-enters it.
+        // y ranks inside the window too but reaches no member.
+        let mut g = StreamGraph::new("bypass");
+        let src = g.add_filter(Filter::new("src", 0, 1, 1.0));
+        let m1 = g.add_filter(Filter::new("m1", 1, 3, 1.0));
+        let y = g.add_filter(Filter::new("y", 1, 0, 1.0));
+        let x = g.add_filter(Filter::new("x", 1, 1, 1.0));
+        let m2 = g.add_filter(Filter::new("m2", 2, 0, 1.0));
+        g.add_channel(src, m1, 1, 1).unwrap();
+        g.add_channel(m1, y, 1, 1).unwrap();
+        g.add_channel(m1, x, 1, 1).unwrap();
+        g.add_channel(x, m2, 1, 1).unwrap();
+        g.add_channel(m1, m2, 1, 1).unwrap();
+        let ranks = TopoRanks::new(&g).unwrap();
+        assert!(ranks.rank(m1) < ranks.rank(x) && ranks.rank(x) < ranks.rank(m2));
+        let pair = NodeSet::from_ids([m1, m2]);
+        assert!(oracle::is_connected(&pair, &g) && !oracle::is_convex(&pair, &g));
+        assert!(!pair.is_connected_convex(&g, &ranks));
+        assert!(NodeSet::from_ids([m1, x, m2]).is_connected_convex(&g, &ranks));
+        assert!(NodeSet::from_ids([m1, x, y, m2]).is_connected_convex(&g, &ranks));
+    }
+
+    /// SplitMix64: a tiny seeded generator for the equivalence sweep.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// A random weakly connected DAG whose filter ids are shuffled against
+    /// its topological order, plus feedback channels from later to earlier
+    /// filters. Every channel's rates follow a random repetition vector, so
+    /// the balance equations hold.
+    fn random_graph(rng: &mut Rng) -> StreamGraph {
+        let n = 2 + rng.below(38);
+        let mut g = StreamGraph::new("random");
+        let ids: Vec<FilterId> = (0..n)
+            .map(|i| g.add_filter(Filter::new(format!("f{i}"), 1, 1, 1.0)))
+            .collect();
+        let mut order = ids.clone();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        let reps: Vec<u32> = (0..n).map(|_| 1 + rng.below(4) as u32).collect();
+        let gcd = |mut a: u32, mut b: u32| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        let rates = |from: usize, to: usize| {
+            let k = gcd(reps[from], reps[to]);
+            (reps[to] / k, reps[from] / k)
+        };
+        for to in 1..n {
+            let mut from = rng.below(to);
+            loop {
+                let (push, pop) = rates(from, to);
+                g.add_channel(order[from], order[to], push, pop).unwrap();
+                if !rng.chance(30) {
+                    break;
+                }
+                from = rng.below(to);
+            }
+        }
+        for _ in 0..rng.below(4) {
+            let (from, to) = (rng.below(n), rng.below(n));
+            if from > to {
+                let (push, pop) = rates(from, to);
+                g.add_feedback_channel(order[from], order[to], push, pop, 8)
+                    .unwrap();
+            }
+        }
+        assert!(g.repetition_vector().is_ok(), "rates are balanced");
+        g
+    }
+
+    /// Greedily merges random adjacent groups whose union the oracle accepts,
+    /// the way coarsening does, starting from `groups`.
+    fn coarsen(rng: &mut Rng, g: &StreamGraph, mut groups: Vec<NodeSet>) -> Vec<NodeSet> {
+        for _ in 0..groups.len() * 2 {
+            if groups.len() < 2 {
+                break;
+            }
+            let i = rng.below(groups.len());
+            let j = rng.below(groups.len());
+            if i == j {
+                continue;
+            }
+            let union = groups[i].union(&groups[j]);
+            if oracle::is_connected(&union, g) && oracle::is_convex(&union, g) {
+                groups[i] = union;
+                groups.swap_remove(j);
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn local_predicate_matches_the_whole_graph_oracle() {
+        let mut rng = Rng(0x5eed);
+        let mut probes = [0usize; 3];
+        let mut rejected = 0usize;
+        for _ in 0..400 {
+            let g = random_graph(&mut rng);
+            let ranks = TopoRanks::new(&g).unwrap();
+            let mut check = |set: &NodeSet, kind: usize| {
+                let connected = oracle::is_connected(set, &g);
+                let convex = oracle::is_convex(set, &g);
+                if !set.is_empty() {
+                    assert_eq!(set.is_connected_within(&g), connected, "{set:?}");
+                }
+                assert_eq!(set.is_convex_within(&g, &ranks), convex, "{set:?}");
+                assert_eq!(
+                    set.is_connected_convex(&g, &ranks),
+                    connected && convex,
+                    "{set:?}"
+                );
+                probes[kind] += 1;
+                rejected += usize::from(!(connected && convex));
+            };
+            // Fine clusters, then coarse parts built from them.
+            let clusters = coarsen(
+                &mut rng,
+                &g,
+                g.filter_ids().map(NodeSet::singleton).collect(),
+            );
+            let parts = coarsen(&mut rng, &g, clusters.clone());
+            // Unions of two parts: every pair, adjacent or not.
+            for i in 0..parts.len() {
+                for j in i + 1..parts.len() {
+                    check(&parts[i].union(&parts[j]), 0);
+                }
+            }
+            // Part-minus-cluster differences, as refinement moves build them.
+            for part in &parts {
+                for cluster in clusters.iter().filter(|c| part.intersects(c)) {
+                    check(&part.difference(cluster), 1);
+                }
+            }
+            // Random subsets at random densities.
+            for _ in 0..8 {
+                let density = 10 + rng.below(80);
+                let set: NodeSet = g.filter_ids().filter(|_| rng.chance(density)).collect();
+                check(&set, 2);
+            }
+        }
+        assert!(probes.iter().all(|&p| p > 500), "{probes:?}");
+        let total: usize = probes.iter().sum();
+        assert!(
+            rejected > total / 10 && rejected < total * 9 / 10,
+            "{rejected}/{total}"
+        );
     }
 
     #[test]

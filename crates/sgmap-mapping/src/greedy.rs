@@ -2,7 +2,7 @@
 //! round-robin baseline.
 
 use sgmap_gpusim::Platform;
-use sgmap_partition::Pdg;
+use sgmap_partition::{PartitionError, Pdg};
 
 use crate::evaluate::evaluate_assignment;
 use crate::{Mapping, MappingMethod};
@@ -88,15 +88,20 @@ pub(crate) fn map_greedy_on(pdg: &Pdg, platform: &Platform, allowed: &[usize]) -
 /// The hardware-agnostic mapping in the style of the prior work: partitions
 /// are dealt to GPUs in round-robin order of their topological position,
 /// without looking at workloads or at the interconnect.
-pub fn map_round_robin(pdg: &Pdg, platform: &Platform) -> Mapping {
+///
+/// # Errors
+///
+/// Returns [`PartitionError::CyclicPdg`] if the PDG has no topological
+/// order.
+pub fn map_round_robin(pdg: &Pdg, platform: &Platform) -> Result<Mapping, PartitionError> {
     let g = platform.gpu_count();
-    let order = pdg.topological_order();
+    let order = pdg.topological_order()?;
     let mut assignment = vec![0usize; pdg.len()];
     for (pos, &i) in order.iter().enumerate() {
         assignment[i] = pos % g;
     }
     let cost = evaluate_assignment(pdg, platform, &assignment);
-    Mapping {
+    Ok(Mapping {
         predicted_tmax_us: cost.tmax_us,
         per_gpu_time_us: cost.per_gpu_time_us,
         per_link_time_us: cost.per_link_time_us,
@@ -104,7 +109,7 @@ pub fn map_round_robin(pdg: &Pdg, platform: &Platform) -> Mapping {
         method: MappingMethod::RoundRobin,
         optimal: false,
         ilp_stats: crate::SolveStats::default(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -158,7 +163,7 @@ mod tests {
     fn round_robin_spreads_partitions_regardless_of_cost() {
         let pdg = chain_pdg(&[1.0, 1.0, 1.0, 1.0], 1 << 20);
         let platform = Platform::quad_m2090();
-        let m = map_round_robin(&pdg, &platform);
+        let m = map_round_robin(&pdg, &platform).unwrap();
         assert_eq!(m.gpus_used(), 4);
         // And therefore pays for it.
         let greedy = map_greedy(&pdg, &platform);
@@ -166,11 +171,36 @@ mod tests {
     }
 
     #[test]
+    fn round_robin_reports_a_cyclic_pdg() {
+        let mut pdg = chain_pdg(&[1.0, 1.0, 1.0], 64);
+        pdg.edges.push(PdgEdge {
+            from: 2,
+            to: 1,
+            bytes_per_iteration: 64,
+        });
+        let platform = Platform::quad_m2090();
+        assert!(matches!(
+            map_round_robin(&pdg, &platform),
+            Err(PartitionError::CyclicPdg {
+                ordered: 1,
+                partitions: 3
+            })
+        ));
+        let via_dispatch = crate::map_with(
+            &pdg,
+            &platform,
+            MappingMethod::RoundRobin,
+            &crate::MappingOptions::default(),
+        );
+        assert!(matches!(via_dispatch, Err(crate::MappingError::Pdg(_))));
+    }
+
+    #[test]
     fn single_gpu_platform_trivially_maps_everything_to_gpu_zero() {
         let pdg = chain_pdg(&[5.0, 6.0, 7.0], 128);
         let platform = Platform::single_m2090();
         let g = map_greedy(&pdg, &platform);
-        let r = map_round_robin(&pdg, &platform);
+        let r = map_round_robin(&pdg, &platform).unwrap();
         assert!(g.assignment.iter().all(|&a| a == 0));
         assert!(r.assignment.iter().all(|&a| a == 0));
         assert!((g.predicted_tmax_us - r.predicted_tmax_us).abs() < 1e-9);

@@ -482,7 +482,7 @@ mod tests {
             let platform = Platform::quad_m2090().with_gpu_count(gpus);
             let ilp = map_ilp(&p, &platform, &MappingOptions::default()).unwrap();
             let greedy = map_greedy(&p, &platform);
-            let rr = map_round_robin(&p, &platform);
+            let rr = map_round_robin(&p, &platform).unwrap();
             assert!(
                 ilp.predicted_tmax_us <= greedy.predicted_tmax_us + 1e-6,
                 "G={gpus}: ilp {} > greedy {}",

@@ -46,7 +46,7 @@ pub use repair::{
 pub use sgmap_ilp::SolveStats;
 
 use sgmap_gpusim::Platform;
-use sgmap_partition::Pdg;
+use sgmap_partition::{PartitionError, Pdg};
 
 /// Which algorithm produced a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,18 +89,59 @@ impl Mapping {
     }
 }
 
+/// Why a mapper could not produce a mapping.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum MappingError {
+    /// The ILP solver failed.
+    Ilp(sgmap_ilp::IlpError),
+    /// The PDG has no topological order for round-robin to deal in.
+    Pdg(PartitionError),
+}
+
+impl std::fmt::Display for MappingError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MappingError::Ilp(e) => write!(f, "{e}"),
+            MappingError::Pdg(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for MappingError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            MappingError::Ilp(e) => Some(e),
+            MappingError::Pdg(e) => Some(e),
+        }
+    }
+}
+
+impl From<sgmap_ilp::IlpError> for MappingError {
+    fn from(e: sgmap_ilp::IlpError) -> Self {
+        MappingError::Ilp(e)
+    }
+}
+
+impl From<PartitionError> for MappingError {
+    fn from(e: PartitionError) -> Self {
+        MappingError::Pdg(e)
+    }
+}
+
 /// Convenience entry point dispatching on [`MappingMethod`].
 ///
 /// # Errors
 ///
-/// Returns an error only for [`MappingMethod::Ilp`] when the solver fails;
-/// the heuristics cannot fail.
+/// Returns [`MappingError::Ilp`] for [`MappingMethod::Ilp`] when the solver
+/// fails, and [`MappingError::Pdg`] for [`MappingMethod::RoundRobin`] when
+/// the PDG has a cycle; the greedy mapper cannot fail.
 pub fn map_with(
     pdg: &Pdg,
     platform: &Platform,
     method: MappingMethod,
     options: &MappingOptions,
-) -> Result<Mapping, sgmap_ilp::IlpError> {
+) -> Result<Mapping, MappingError> {
     map_with_traced(pdg, platform, method, options, None)
 }
 
@@ -117,13 +158,13 @@ pub fn map_with_traced(
     method: MappingMethod,
     options: &MappingOptions,
     trace: sgmap_trace::TraceRef<'_>,
-) -> Result<Mapping, sgmap_ilp::IlpError> {
+) -> Result<Mapping, MappingError> {
     let mut span = sgmap_trace::span(trace, "map");
     span.arg("partitions", pdg.len());
     span.arg("gpus", platform.gpu_count());
     match method {
-        MappingMethod::Ilp => map_ilp_traced(pdg, platform, options, trace),
+        MappingMethod::Ilp => Ok(map_ilp_traced(pdg, platform, options, trace)?),
         MappingMethod::Greedy => Ok(map_greedy(pdg, platform)),
-        MappingMethod::RoundRobin => Ok(map_round_robin(pdg, platform)),
+        MappingMethod::RoundRobin => Ok(map_round_robin(pdg, platform)?),
     }
 }

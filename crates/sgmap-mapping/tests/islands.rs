@@ -46,7 +46,7 @@ fn communication_aware_mappers_keep_the_heavy_cut_intra_island() {
 
     // Round-robin deals the chain across all 8 GPUs in topological order,
     // which lands the heavy cut on the island boundary.
-    let rr = map_round_robin(&pdg, &platform);
+    let rr = map_round_robin(&pdg, &platform).unwrap();
     assert_ne!(
         island_of(rr.assignment[3]),
         island_of(rr.assignment[4]),

@@ -8,7 +8,7 @@
 //! contrast the paper's Section 4.0.3 quantifies with the "kernel count
 //! ratio".
 
-use sgmap_graph::NodeSet;
+use sgmap_graph::{NodeSet, TopoRanks};
 use sgmap_pee::{Estimate, Estimator};
 
 use crate::error::PartitionError;
@@ -23,6 +23,7 @@ use crate::partitioning::{Partition, Partitioning};
 pub fn partition_baseline(est: &Estimator<'_>) -> Result<Partitioning, PartitionError> {
     let graph = est.graph();
     let order = graph.topological_order().map_err(PartitionError::Graph)?;
+    let ranks = TopoRanks::new(graph)?;
 
     let mut partitions: Vec<Partition> = Vec::new();
     let mut current: Option<(NodeSet, Estimate)> = None;
@@ -36,9 +37,8 @@ pub fn partition_baseline(est: &Estimator<'_>) -> Result<Partitioning, Partition
             None => Some((single, single_est)),
             Some((set, set_est)) => {
                 let union = set.union(&single);
-                let feasible = union.is_connected(graph)
-                    && union.is_convex(graph)
-                    && est.estimate(&union).is_some();
+                let feasible =
+                    union.is_connected_convex(graph, &ranks) && est.estimate(&union).is_some();
                 if feasible {
                     let e = est.estimate(&union).expect("checked above");
                     Some((union, e))

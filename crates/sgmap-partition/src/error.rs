@@ -17,6 +17,14 @@ pub enum PartitionError {
     /// The produced partitioning does not cover every filter exactly once
     /// (internal invariant violation).
     InvalidCover,
+    /// The partition dependence graph has a cycle, so no kernel order
+    /// exists.
+    CyclicPdg {
+        /// Partitions a topological sort could still order.
+        ordered: usize,
+        /// Partitions in the PDG.
+        partitions: usize,
+    },
 }
 
 impl fmt::Display for PartitionError {
@@ -31,6 +39,13 @@ impl fmt::Display for PartitionError {
             PartitionError::InvalidCover => {
                 write!(f, "partitioning does not cover all filters exactly once")
             }
+            PartitionError::CyclicPdg {
+                ordered,
+                partitions,
+            } => write!(
+                f,
+                "partition dependence graph has a cycle: only {ordered} of {partitions} partitions can be ordered"
+            ),
         }
     }
 }

@@ -10,9 +10,13 @@
 //!    clusters merge when their union stays connected, convex and
 //!    shared-memory feasible — no estimate-improvement requirement, because
 //!    coarsening is structural, not a search; SM feasibility alone bounds
-//!    cluster growth. Union estimates and characteristics are derived
-//!    incrementally with [`Estimator::estimate_union`], so coarse-node
-//!    estimates stay cache-exact.
+//!    cluster growth. The connectivity and convexity guard
+//!    ([`NodeSet::is_connected_convex`](sgmap_graph::NodeSet::is_connected_convex))
+//!    searches only the union and its topological-rank window, never the
+//!    whole graph, so a level costs about linear time in the graph size.
+//!    Union estimates and characteristics are derived incrementally with
+//!    [`Estimator::estimate_union`], so coarse-node estimates stay
+//!    cache-exact.
 //! 2. **Initial partitioning** — the flat search's phases 3 and 4 run
 //!    unchanged on the coarsest clusters (a few dozen to a few hundred
 //!    `Part`s, the regime they were built for).
@@ -21,6 +25,8 @@
 //!    move *strictly* lowers the summed estimated time of the two parts it
 //!    touches. Strict improvement guarantees refinement never worsens the
 //!    estimator objective and (since the state space is finite) terminates.
+//!    Each move probes the same local guard on the shrunk source part and
+//!    the grown target part.
 //!
 //! Every stage is deterministic for every thread count: matching is a serial
 //! ascending scan, and refinement evaluates its candidates through the same
@@ -108,7 +114,7 @@ pub(crate) fn multilevel_partition(
     let threads = search.resolved_threads();
     let batch = search.batch.max(1);
     let graph = est.graph();
-    let feasible = FeasibilityCache::new(trace);
+    let feasible = FeasibilityCache::new(graph, trace)?;
 
     {
         let _span = sgmap_trace::span(trace, "partition.prewarm");
@@ -297,7 +303,7 @@ pub(crate) fn refine_level(
             let mut targets: Vec<usize> = clusters[c]
                 .nodes
                 .iter()
-                .flat_map(|id| graph.neighbors(id))
+                .flat_map(|id| graph.forward_neighbors(id))
                 .map(|nb| assignment_ref[nb.index()])
                 .filter(|&q| q != home)
                 .collect();
@@ -361,7 +367,7 @@ mod tests {
     use super::*;
     use sgmap_apps::App;
     use sgmap_gpusim::GpuSpec;
-    use sgmap_graph::NodeSet;
+    use sgmap_graph::{NodeSet, TopoRanks};
 
     fn multilevel(app: App, n: u32, options: MultilevelOptions) -> (Partitioning, StreamGraph) {
         let graph = app.build(n).unwrap();
@@ -380,9 +386,9 @@ mod tests {
             let (p, graph) = multilevel(app, n, MultilevelOptions::default());
             p.validate_cover(&graph).unwrap();
             assert!(p.len() < graph.filter_count(), "{app:?}: no merging");
+            let ranks = TopoRanks::new(&graph).unwrap();
             for part in p.iter() {
-                assert!(part.nodes.is_connected(&graph));
-                assert!(part.nodes.is_convex(&graph));
+                assert!(part.nodes.is_connected_convex(&graph, &ranks));
             }
         }
     }
@@ -448,7 +454,7 @@ mod tests {
         // must never raise the total estimate and must keep parts valid.
         let graph = App::SynthPipe.build(60).unwrap();
         let est = Estimator::new(&graph, GpuSpec::m2090()).unwrap();
-        let feasible = FeasibilityCache::new(None);
+        let feasible = FeasibilityCache::new(&graph, None).unwrap();
         let ids: Vec<_> = graph.filter_ids().collect();
         let split = 2usize;
         let make_part = |ids: &[sgmap_graph::FilterId]| {
@@ -463,8 +469,9 @@ mod tests {
         let mut parts = vec![make_part(&ids[..split]), make_part(&ids[split..])];
         // Only refine if the handmade split is actually feasible (the chain
         // prefix of a pipeline-family graph is).
+        let ranks = TopoRanks::new(&graph).unwrap();
         for part in &parts {
-            assert!(part.nodes.is_connected(&graph) && part.nodes.is_convex(&graph));
+            assert!(part.nodes.is_connected_convex(&graph, &ranks));
         }
         let clusters: Vec<Part> = graph
             .filter_ids()

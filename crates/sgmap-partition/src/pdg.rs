@@ -9,6 +9,7 @@
 
 use sgmap_graph::{FilterKind, RepetitionVector, StreamGraph};
 
+use crate::error::PartitionError;
 use crate::partitioning::Partitioning;
 
 /// One edge of the PDG: data flowing from partition `from` to partition `to`.
@@ -58,14 +59,15 @@ impl Pdg {
         self.edges.iter().map(|e| e.bytes_per_iteration).sum()
     }
 
-    /// A topological order of the partitions (the PDG of a convex
-    /// partitioning is a DAG).
+    /// A topological order of the partitions.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the PDG contains a cycle, which a valid convex partitioning
-    /// cannot produce.
-    pub fn topological_order(&self) -> Vec<usize> {
+    /// Returns [`PartitionError::CyclicPdg`] if the PDG has a cycle. Convex
+    /// parts rule out cycles over forward channels, but the PDG also carries
+    /// the feedback channels of loops split across parts, which can close
+    /// one.
+    pub fn topological_order(&self) -> Result<Vec<usize>, PartitionError> {
         let n = self.len();
         let mut indegree = vec![0usize; n];
         for e in &self.edges {
@@ -85,8 +87,14 @@ impl Pdg {
                 }
             }
         }
-        assert_eq!(order.len(), n, "partition dependence graph has a cycle");
-        order
+        if order.len() == n {
+            Ok(order)
+        } else {
+            Err(PartitionError::CyclicPdg {
+                ordered: order.len(),
+                partitions: n,
+            })
+        }
     }
 }
 
@@ -172,7 +180,7 @@ mod tests {
         assert!(pdg.edges.is_empty());
         assert!(pdg.primary_input_bytes[0] > 0);
         assert!(pdg.primary_output_bytes[0] > 0);
-        assert_eq!(pdg.topological_order(), vec![0]);
+        assert_eq!(pdg.topological_order(), Ok(vec![0]));
     }
 
     #[test]
@@ -193,9 +201,33 @@ mod tests {
             .sum();
         assert_eq!(pdg.total_edge_bytes(), crossing);
         // Topological order covers every partition once.
-        let order = pdg.topological_order();
+        let order = pdg.topological_order().unwrap();
         assert_eq!(order.len(), pdg.len());
         // The total workload matches the partitioning's estimate sum.
         assert!((pdg.total_time_us() - partitioning.total_estimated_time_us()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_cyclic_pdg_is_an_error_not_a_panic() {
+        let edge = |from, to| PdgEdge {
+            from,
+            to,
+            bytes_per_iteration: 4,
+        };
+        let pdg = Pdg {
+            times_us: vec![1.0; 3],
+            edges: vec![edge(0, 1), edge(1, 2), edge(2, 1)],
+            primary_input_bytes: vec![0; 3],
+            primary_output_bytes: vec![0; 3],
+        };
+        let err = pdg.topological_order().unwrap_err();
+        assert_eq!(
+            err,
+            PartitionError::CyclicPdg {
+                ordered: 1,
+                partitions: 3
+            }
+        );
+        assert!(err.to_string().contains("1 of 3"), "{err}");
     }
 }

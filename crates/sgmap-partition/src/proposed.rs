@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use sgmap_graph::{FilterId, NodeSet, StreamGraph};
+use sgmap_graph::{FilterId, NodeSet, StreamGraph, TopoRanks};
 use sgmap_pee::{Estimate, Estimator, SetChars};
 
 use crate::adjacency::AdjacencyIndex;
@@ -39,30 +39,38 @@ pub(crate) struct Part {
 }
 
 /// Memoised structural-feasibility answers (weak connectivity over forward
-/// channels, then convexity — the exact guard every merge has always run),
-/// shared across the whole search. The candidate enumeration re-visits the
-/// same union sets on every merge iteration, and both predicates walk the
-/// whole graph; for a fixed set they never change, so one answer per
-/// distinct set suffices. The connectivity check matters even though merge
-/// operands are always adjacent: adjacency counts feedback channels (as the
-/// historical channel scan did), while connectivity deliberately ignores
-/// them, so parts joined *only* by a feedback channel must stay rejected.
-/// Benign racing (two threads computing the same pure predicate) cannot
-/// change any decision.
-#[derive(Debug, Default)]
+/// channels plus convexity — the exact guard every merge has always run),
+/// shared across the whole search. Each miss runs
+/// [`NodeSet::is_connected_convex`], a local search over the set and its
+/// topological-rank window against the ranks built once here, so a probe
+/// costs about the set's size, not the graph's. The map still pays: the
+/// candidate enumeration and refinement re-probe the same sets on every
+/// round, and for a fixed set the answer never changes. The connectivity
+/// check matters even though merge operands are always adjacent: adjacency
+/// counts feedback channels (as the historical channel scan did), while
+/// connectivity deliberately ignores them, so parts joined *only* by a
+/// feedback channel must stay rejected. Benign racing (two threads
+/// computing the same pure predicate) cannot change any decision.
+#[derive(Debug)]
 pub(crate) struct FeasibilityCache<'t> {
     map: RwLock<HashMap<NodeSet, bool>>,
+    ranks: TopoRanks,
     /// Trace handle shared with the whole search; the cache carries it so
     /// `try_merge` and the phases can count without extra parameters.
     pub(crate) trace: sgmap_trace::TraceRef<'t>,
 }
 
 impl<'t> FeasibilityCache<'t> {
-    pub(crate) fn new(trace: sgmap_trace::TraceRef<'t>) -> Self {
-        FeasibilityCache {
+    /// An empty cache over `graph`'s topological ranks.
+    pub(crate) fn new(
+        graph: &StreamGraph,
+        trace: sgmap_trace::TraceRef<'t>,
+    ) -> Result<Self, PartitionError> {
+        Ok(FeasibilityCache {
             map: RwLock::new(HashMap::new()),
+            ranks: TopoRanks::new(graph)?,
             trace,
-        }
+        })
     }
 
     pub(crate) fn is_mergeable(&self, graph: &StreamGraph, set: &NodeSet) -> bool {
@@ -76,7 +84,7 @@ impl<'t> FeasibilityCache<'t> {
             return known;
         }
         sgmap_trace::add(self.trace, "partition.feasibility_misses", 1);
-        let feasible = set.is_connected(graph) && set.is_convex(graph);
+        let feasible = set.is_connected_convex(graph, &self.ranks);
         self.map
             .write()
             .expect("feasibility cache lock poisoned")
@@ -164,7 +172,7 @@ pub(crate) fn flat_partition(
     let graph = est.graph();
     let mut parts: Vec<Part> = Vec::new();
     let mut assigned = vec![false; graph.filter_count()];
-    let feasible = FeasibilityCache::new(trace);
+    let feasible = FeasibilityCache::new(graph, trace)?;
 
     // Unconditional, even on one thread: it pins the evaluated singleton set
     // to "every filter" regardless of thread count, so cache counters stay

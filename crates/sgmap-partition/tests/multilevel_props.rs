@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use sgmap_apps::synthetic::{spec, Family};
 use sgmap_gpusim::GpuSpec;
-use sgmap_graph::{GraphBuilder, NodeSet, StreamGraph};
+use sgmap_graph::{GraphBuilder, NodeSet, StreamGraph, TopoRanks};
 use sgmap_partition::{
     Algorithm, MultilevelOptions, PartitionRequest, PartitionSearchOptions, Partitioning,
 };
@@ -80,12 +80,12 @@ proptest! {
         p.validate_cover(&graph).expect("disjoint full cover");
         prop_assert!(!p.is_empty());
         prop_assert!(p.len() <= graph.filter_count());
+        let ranks = TopoRanks::new(&graph).expect("acyclic forward channels");
         for part in p.iter() {
             // Forward-channel connectivity: a part held together only by a
             // feedback channel would fail this, exactly as in the flat
             // search.
-            prop_assert!(part.nodes.is_connected(&graph));
-            prop_assert!(part.nodes.is_convex(&graph));
+            prop_assert!(part.nodes.is_connected_convex(&graph, &ranks));
         }
     }
 

@@ -5,7 +5,9 @@ use proptest::prelude::*;
 
 use sgmap_gpusim::profile::profile_graph;
 use sgmap_gpusim::{sm_layout, GpuSpec, Platform};
-use sgmap_graph::{FilterId, GraphBuilder, JoinKind, NodeSet, SplitKind, StreamGraph, StreamSpec};
+use sgmap_graph::{
+    FilterId, GraphBuilder, JoinKind, NodeSet, SplitKind, StreamGraph, StreamSpec, TopoRanks,
+};
 use sgmap_ilp::{Model, ObjectiveSense, Solver};
 use sgmap_mapping::evaluate_assignment;
 use sgmap_partition::{
@@ -191,9 +193,9 @@ proptest! {
         prop_assume!(singleton_total.is_some());
         let partitioning = partition_stream_graph(&est).unwrap();
         partitioning.validate_cover(&graph).unwrap();
+        let ranks = TopoRanks::new(&graph).unwrap();
         for p in partitioning.iter() {
-            prop_assert!(p.nodes.is_connected(&graph));
-            prop_assert!(p.nodes.is_convex(&graph));
+            prop_assert!(p.nodes.is_connected_convex(&graph, &ranks));
             prop_assert!(p.estimate.sm_bytes <= u64::from(est.gpu().shared_mem_bytes));
         }
         prop_assert!(
@@ -355,7 +357,7 @@ proptest! {
         let partitioning = partition_stream_graph(&est).unwrap();
         let reps = graph.repetition_vector().unwrap();
         let pdg = build_pdg(&graph, &reps, &partitioning);
-        prop_assert_eq!(pdg.topological_order().len(), pdg.len());
+        prop_assert_eq!(pdg.topological_order().unwrap().len(), pdg.len());
         let platform = Platform::homogeneous(GpuSpec::m2090(), gpus);
         // Round-robin assignment is always valid input for the evaluator.
         let assignment: Vec<usize> = (0..pdg.len()).map(|i| i % gpus).collect();
